@@ -30,7 +30,7 @@ double WeightOf(const RoleConfig& config, const WeightScheme& scheme, ReplicaId 
   return is_max ? scheme.v_max : scheme.v_min;
 }
 
-double WeightedQuorumTime(std::vector<std::pair<double, double>> arrivals_weights,
+double WeightedQuorumTime(std::vector<std::pair<double, double>>& arrivals_weights,
                           double quorum_weight, uint32_t skip_fastest) {
   std::sort(arrivals_weights.begin(), arrivals_weights.end());
   double acc = 0.0;
@@ -48,40 +48,60 @@ double WeightedQuorumTime(std::vector<std::pair<double, double>> arrivals_weight
   return kInf;
 }
 
-double AwareRoundDurationMs(const RoleConfig& config, const WeightScheme& scheme,
-                            const LatencyMatrix& latency, uint32_t u) {
+namespace {
+
+void FillPropose(const RoleConfig& config, const LatencyMatrix& latency, uint32_t n,
+                 std::vector<double>& propose) {
+  propose.resize(n);
+  for (ReplicaId a = 0; a < n; ++a) {
+    propose[a] = AwareProposeTimeoutMs(config, latency, a);
+  }
+}
+
+// prepared(b): the fastest weighted quorum of Writes at b, where the Write
+// from a leaves a as soon as the Propose arrives there.
+double PreparedAt(const RoleConfig& config, const WeightScheme& scheme,
+                  const LatencyMatrix& latency, const std::vector<double>& propose,
+                  ReplicaId b, uint32_t u,
+                  std::vector<std::pair<double, double>>& scratch) {
+  scratch.clear();
+  for (ReplicaId a = 0; a < scheme.n; ++a) {
+    const double write_arrival =
+        a == b ? propose[a] : propose[a] + latency.Rtt(a, b);
+    scratch.emplace_back(write_arrival, WeightOf(config, scheme, a));
+  }
+  return WeightedQuorumTime(scratch, scheme.quorum_weight, u);
+}
+
+}  // namespace
+
+void ComputeAwareRound(const RoleConfig& config, const WeightScheme& scheme,
+                       const LatencyMatrix& latency, uint32_t u, AwareRound& round) {
   const uint32_t n = scheme.n;
   const ReplicaId leader = config.leader;
-
-  // Phase 1: Propose (Pre-Prepare) arrival at each replica.
-  std::vector<double> propose(n);
-  for (ReplicaId a = 0; a < n; ++a) {
-    propose[a] = a == leader ? 0.0 : latency.Rtt(leader, a);
-  }
-
-  // Phase 2: Write (Prepare): prepared(B) = weighted quorum of writes.
-  std::vector<double> prepared(n);
+  FillPropose(config, latency, n, round.propose);
+  round.prepared.resize(n);
   for (ReplicaId b = 0; b < n; ++b) {
-    std::vector<std::pair<double, double>> arrivals;
-    arrivals.reserve(n);
-    for (ReplicaId a = 0; a < n; ++a) {
-      const double write_arrival =
-          a == b ? propose[a] : propose[a] + latency.Rtt(a, b);
-      arrivals.emplace_back(write_arrival, WeightOf(config, scheme, a));
-    }
-    prepared[b] = WeightedQuorumTime(std::move(arrivals), scheme.quorum_weight, u);
+    round.prepared[b] =
+        PreparedAt(config, scheme, latency, round.propose, b, u, round.scratch);
   }
-
-  // Phase 3: Accept (Commit): the round concludes when the leader holds a
-  // weighted quorum of accepts (TR3).
-  std::vector<std::pair<double, double>> accepts;
-  accepts.reserve(n);
+  // The round concludes when the leader holds a weighted quorum of accepts.
+  round.scratch.clear();
   for (ReplicaId b = 0; b < n; ++b) {
-    const double accept_arrival =
-        b == leader ? prepared[b] : prepared[b] + latency.Rtt(b, leader);
-    accepts.emplace_back(accept_arrival, WeightOf(config, scheme, b));
+    const double accept_arrival = b == leader
+                                      ? round.prepared[b]
+                                      : round.prepared[b] + latency.Rtt(b, leader);
+    round.scratch.emplace_back(accept_arrival, WeightOf(config, scheme, b));
   }
-  return WeightedQuorumTime(std::move(accepts), scheme.quorum_weight, u);
+  round.d_rnd = WeightedQuorumTime(round.scratch, scheme.quorum_weight, u);
+}
+
+double AwareRoundDurationMs(const RoleConfig& config, const WeightScheme& scheme,
+                            const LatencyMatrix& latency, uint32_t u) {
+  // Search scores millions of configs; keep the buffers per thread.
+  thread_local AwareRound round;
+  ComputeAwareRound(config, scheme, latency, u, round);
+  return round.d_rnd;
 }
 
 double AwareProposeTimeoutMs(const RoleConfig& config, const LatencyMatrix& latency,
@@ -98,14 +118,11 @@ double AwareWriteTimeoutMs(const RoleConfig& config, const LatencyMatrix& latenc
 double AwareAcceptTimeoutMs(const RoleConfig& config, const WeightScheme& scheme,
                             const LatencyMatrix& latency, ReplicaId from,
                             ReplicaId to, uint32_t u) {
-  std::vector<std::pair<double, double>> arrivals;
-  arrivals.reserve(scheme.n);
-  for (ReplicaId a = 0; a < scheme.n; ++a) {
-    arrivals.emplace_back(AwareWriteTimeoutMs(config, latency, a, from),
-                          WeightOf(config, scheme, a));
-  }
+  std::vector<double> propose;
+  std::vector<std::pair<double, double>> scratch;
+  FillPropose(config, latency, scheme.n, propose);
   const double prepared =
-      WeightedQuorumTime(std::move(arrivals), scheme.quorum_weight, u);
+      PreparedAt(config, scheme, latency, propose, from, u, scratch);
   return prepared + (from == to ? 0.0 : latency.Rtt(from, to));
 }
 

@@ -44,8 +44,27 @@ double WeightOf(const RoleConfig& config, const WeightScheme& scheme, ReplicaId 
 // Earliest time a weighted quorum accumulates, given per-replica arrival
 // times and weights, assuming the `skip_fastest` earliest contributions are
 // lost to misbehaving replicas. Returns +inf if no quorum is reachable.
-double WeightedQuorumTime(std::vector<std::pair<double, double>> arrivals_weights,
+// Sorts the caller's buffer in place by (arrival, weight): the full pair
+// order fixes the order the weights are summed in, whatever order the
+// entries came in.
+double WeightedQuorumTime(std::vector<std::pair<double, double>>& arrivals_weights,
                           double quorum_weight, uint32_t skip_fastest);
+
+// One Aware round predicted from the latency matrix, phase by phase:
+//   propose[a]  — Propose arrival at replica a (TR1)
+//   prepared[b] — when b holds a weighted quorum of Writes (TR2); the
+//                 Accept timeout from b to c is prepared[b] + L(b, c)
+//   d_rnd       — when the leader holds a weighted quorum of Accepts (TR3)
+// ComputeAwareRound fills every field; the buffers are reused across calls.
+struct AwareRound {
+  std::vector<double> propose;
+  std::vector<double> prepared;
+  double d_rnd = 0.0;
+  std::vector<std::pair<double, double>> scratch;  // (arrival, weight) buffer
+};
+
+void ComputeAwareRound(const RoleConfig& config, const WeightScheme& scheme,
+                       const LatencyMatrix& latency, uint32_t u, AwareRound& round);
 
 // Predicted round duration for a (leader, Vmax-set) configuration.
 double AwareRoundDurationMs(const RoleConfig& config, const WeightScheme& scheme,

@@ -2,21 +2,17 @@
 
 namespace optilog {
 
+size_t LatencyMatrix::known_pairs() const {
+  const size_t total = static_cast<size_t>(n_) * (n_ > 0 ? n_ - 1 : 0) / 2;
+  return city_stride_ != 0 ? total : known_pairs_;  // the baseline covers every pair
+}
+
 double LatencyMatrix::Coverage() const {
   if (n_ < 2) {
     return 1.0;
   }
-  size_t known = 0;
-  size_t total = 0;
-  for (uint32_t a = 0; a < n_; ++a) {
-    for (uint32_t b = a + 1; b < n_; ++b) {
-      ++total;
-      if (Known(a, b)) {
-        ++known;
-      }
-    }
-  }
-  return static_cast<double>(known) / static_cast<double>(total);
+  const size_t total = static_cast<size_t>(n_) * (n_ - 1) / 2;
+  return static_cast<double>(known_pairs()) / static_cast<double>(total);
 }
 
 void LatencyMonitor::OnLatencyVector(const LatencyVectorRecord& rec) {

@@ -22,11 +22,13 @@ class LatencyMatrix {
 
   void Reset(uint32_t n) {
     n_ = n;
-    recorded_.assign(n, std::vector<double>(n, kUnknown));
+    recorded_.assign(static_cast<size_t>(n) * n, kUnknown);
+    known_pairs_ = 0;
     city_index_.clear();
     city_rtt_ms_.clear();
     city_stride_ = 0;
     overrides_.clear();
+    ++version_;
   }
 
   // Complete-probe-round initialization, city-compressed. Every ordered
@@ -39,21 +41,35 @@ class LatencyMatrix {
                              std::vector<double> city_rtt_ms, size_t stride) {
     n_ = n;
     recorded_.clear();
+    known_pairs_ = 0;
     city_index_ = std::move(index_of);
     city_rtt_ms_ = std::move(city_rtt_ms);
     city_stride_ = stride;
     overrides_.clear();
+    ++version_;
   }
 
   uint32_t size() const { return n_; }
+
+  // Bumped by every mutation: callers that derive values from the matrix
+  // (the PBFT harness's timeout cache) key on it to know when to recompute.
+  uint64_t version() const { return version_; }
 
   void Record(ReplicaId reporter, ReplicaId peer, double rtt_ms) {
     if (reporter < n_ && peer < n_) {
       if (city_stride_ != 0) {
         overrides_[Pack(reporter, peer)] = rtt_ms;
       } else {
-        recorded_[reporter][peer] = rtt_ms;
+        const bool was_known = Known(reporter, peer);
+        recorded_[Index(reporter, peer)] = rtt_ms;
+        const bool is_known = Known(reporter, peer);
+        if (is_known && !was_known) {
+          ++known_pairs_;
+        } else if (was_known && !is_known) {
+          --known_pairs_;  // a report of kUnknown withdraws the pair
+        }
       }
+      ++version_;
     }
   }
 
@@ -90,11 +106,15 @@ class LatencyMatrix {
     if (city_stride_ != 0) {
       return true;  // the baseline covers every pair
     }
-    return recorded_[a][b] != kUnknown || recorded_[b][a] != kUnknown;
+    return recorded_[Index(a, b)] != kUnknown || recorded_[Index(b, a)] != kUnknown;
   }
 
-  // Fraction of ordered pairs with at least one report; 1.0 = complete.
+  // Fraction of replica pairs with at least one report; 1.0 = complete.
+  // O(1): Record maintains the known-pair count.
   double Coverage() const;
+
+  // Number of unordered pairs {a, b}, a != b, with Known(a, b).
+  size_t known_pairs() const;
 
  private:
   static constexpr double kUnknown = -1.0;
@@ -103,9 +123,13 @@ class LatencyMatrix {
     return (static_cast<uint64_t>(a) << 32) | b;
   }
 
+  size_t Index(ReplicaId a, ReplicaId b) const {
+    return static_cast<size_t>(a) * n_ + b;
+  }
+
   double RecordedAt(ReplicaId a, ReplicaId b) const {
     if (city_stride_ == 0) {
-      return recorded_[a][b];
+      return recorded_[Index(a, b)];
     }
     if (!overrides_.empty()) {
       auto it = overrides_.find(Pack(a, b));
@@ -119,8 +143,11 @@ class LatencyMatrix {
   }
 
   uint32_t n_ = 0;
-  // Dense mode (tests, incremental monitors): every ordered pair.
-  std::vector<std::vector<double>> recorded_;
+  uint64_t version_ = 0;
+  // Dense mode (tests, incremental monitors): every ordered pair, row-major
+  // n×n, plus the count of unordered pairs with at least one report.
+  std::vector<double> recorded_;
+  size_t known_pairs_ = 0;
   // City-baseline mode (deployments): replica -> city, u×u RTTs, sparse
   // post-baseline reports.
   std::vector<uint32_t> city_index_;

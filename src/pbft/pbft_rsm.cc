@@ -64,11 +64,9 @@ void PbftReplica::HandlePrePrepare(ReplicaId from, const PrePrepareMsg& msg,
 
   if (sensor_) {
     const LatencyMatrix& matrix = harness_->pipeline_->latency_monitor().matrix();
-    const uint32_t u = harness_->pipeline_->suspicion_monitor().Current().u;
     if (matrix.Known(msg.leader, id_) && id_ != msg.leader) {
       // Condition (b) on the Pre-Prepare itself: d_m = Lr(L, A) (TR1).
-      const double d_rnd_ms = AwareRoundDurationMs(
-          harness_->config_, harness_->scheme(), matrix, u);
+      const double d_rnd_ms = harness_->CurrentAwareRound().d_rnd;
       if (std::isfinite(d_rnd_ms)) {
         sensor_->OnProposalTimestamp(msg.seq, msg.leader, msg.timestamp,
                                      FromMs(d_rnd_ms));
@@ -92,12 +90,8 @@ void PbftReplica::HandlePrePrepare(ReplicaId from, const PrePrepareMsg& msg,
   if (CpuMeter* cpu = harness_->net_->cpu()) {
     cpu->ChargeSign(id_, at);
   }
-  std::vector<ReplicaId> all(harness_->opts_.n);
-  for (ReplicaId id = 0; id < harness_->opts_.n; ++id) {
-    all[id] = id;
-  }
-  harness_->net_->Multicast(id_, all, std::move(write));
-  MaybeAdvance(msg.seq);
+  harness_->net_->Multicast(id_, harness_->all_replicas_, std::move(write));
+  MaybeAdvance(msg.seq, inst);
 }
 
 void PbftReplica::HandlePhase(ReplicaId from, const PhaseMsg& msg, SimTime at) {
@@ -122,12 +116,12 @@ void PbftReplica::HandlePhase(ReplicaId from, const PhaseMsg& msg, SimTime at) {
   if (sensor_ && inst.have_preprepare && from != id_) {
     const LatencyMatrix& matrix = harness_->pipeline_->latency_monitor().matrix();
     if (matrix.Known(from, id_) && matrix.Coverage() >= 1.0) {
-      const uint32_t u = harness_->pipeline_->suspicion_monitor().Current().u;
+      // TR2: a Write leaves `from` when the Propose arrives there, an
+      // Accept when `from` holds a Write quorum; both then cross L(from, id).
+      const AwareRound& round = harness_->CurrentAwareRound();
       const double d_m_ms =
-          msg.accept
-              ? AwareAcceptTimeoutMs(harness_->config_, harness_->scheme(), matrix,
-                                     from, id_, u)
-              : AwareWriteTimeoutMs(harness_->config_, matrix, from, id_);
+          (msg.accept ? round.prepared[from] : round.propose[from]) +
+          matrix.Rtt(from, id_);
       if (std::isfinite(d_m_ms)) {
         sensor_->ObserveArrival(msg.seq, from,
                                 msg.accept ? PhaseTag::kSecondVote : PhaseTag::kFirstVote,
@@ -135,11 +129,10 @@ void PbftReplica::HandlePhase(ReplicaId from, const PhaseMsg& msg, SimTime at) {
       }
     }
   }
-  MaybeAdvance(msg.seq);
+  MaybeAdvance(msg.seq, inst);
 }
 
-void PbftReplica::MaybeAdvance(uint64_t seq) {
-  Instance& inst = instances_[seq];
+void PbftReplica::MaybeAdvance(uint64_t seq, Instance& inst) {
   const double quorum = harness_->opts_.mode == PbftMode::kPbft
                             ? std::ceil((harness_->opts_.n + harness_->opts_.f + 1) / 2.0)
                             : harness_->scheme().quorum_weight;
@@ -174,19 +167,14 @@ void PbftReplica::MaybeAdvance(uint64_t seq) {
     if (CpuMeter* cpu = harness_->net_->cpu()) {
       cpu->ChargeSign(id_, harness_->sim_->now());
     }
-    std::vector<ReplicaId> all(harness_->opts_.n);
-    for (ReplicaId id = 0; id < harness_->opts_.n; ++id) {
-      all[id] = id;
-    }
-    harness_->net_->Multicast(id_, all, std::move(accept));
+    harness_->net_->Multicast(id_, harness_->all_replicas_, std::move(accept));
   }
   if (!inst.committed && inst.accepted && inst.accept_weight >= quorum) {
-    Commit(seq);
+    Commit(seq, inst);
   }
 }
 
-void PbftReplica::Commit(uint64_t seq) {
-  Instance& inst = instances_[seq];
+void PbftReplica::Commit(uint64_t seq, Instance& inst) {
   inst.committed = true;
   if (TraceRecorder* tr = harness_->sim_->trace()) {
     tr->EmitHere(harness_->sim_->now(), TraceKind::kPbftPhase, 3, id_, seq, 0);
@@ -246,7 +234,7 @@ void PbftReplica::Commit(uint64_t seq) {
   if (id_ == harness_->config_.leader) {
     harness_->OnCommitAtLeader(seq, static_cast<uint32_t>(inst.batch.size()));
   }
-  // Bound per-replica state.
+  // Bound per-replica state (may erase `inst`: nothing reads it after this).
   while (instances_.size() > 64) {
     instances_.erase(instances_.begin());
   }
@@ -309,6 +297,7 @@ PbftHarness::PbftHarness(Simulator* sim, Network* net, const KeyStore* keys,
   log_.AddListener([this](const LogEntry& e) { OnLogCommit(e); });
 
   for (ReplicaId id = 0; id < opts_.n; ++id) {
+    all_replicas_.push_back(id);
     replicas_.push_back(std::make_unique<PbftReplica>(id, this));
     net_->Register(id, replicas_.back().get());
     if (opts_.mode == PbftMode::kOptiAware) {
@@ -370,6 +359,7 @@ void PbftHarness::SetTopologyOrConfig(const RoleConfig& config) {
   }
   // Pre-start install: adopt silently (no reconfiguration event).
   config_ = config;
+  ++config_generation_;
   if (config_.weight_max.size() != opts_.n) {
     config_.weight_max.assign(opts_.n, 0);
   }
@@ -471,11 +461,7 @@ void PbftHarness::ProposeNext(SimTime now) {
     cpu->ChargeHash(config_.leader, now, msg->WireSize());
     cpu->ChargeSign(config_.leader, now);
   }
-  std::vector<ReplicaId> all(opts_.n);
-  for (ReplicaId id = 0; id < opts_.n; ++id) {
-    all[id] = id;
-  }
-  net_->Multicast(config_.leader, all, std::move(msg));
+  net_->Multicast(config_.leader, all_replicas_, std::move(msg));
 }
 
 void PbftHarness::OnCommitAtLeader(uint64_t seq, uint32_t batch_size) {
@@ -635,6 +621,7 @@ void PbftHarness::MaybeReactToSuspicions() {
 
 void PbftHarness::OnReconfigure(const RoleConfig& config, double score) {
   config_ = config;
+  ++config_generation_;
   if (config_.weight_max.size() != opts_.n) {
     config_.weight_max.assign(opts_.n, 0);
   }
@@ -644,6 +631,23 @@ void PbftHarness::OnReconfigure(const RoleConfig& config, double score) {
   if (!queue_->empty()) {
     ProposeNext(sim_->now());
   }
+}
+
+const AwareRound& PbftHarness::CurrentAwareRound() {
+  // The round is a pure function of (matrix, config, scheme, u); the scheme
+  // is fixed, and the other three change only at probe rounds, config
+  // installs and suspicion-monitor updates. Keying on them makes the cached
+  // round exactly the one a fresh ComputeAwareRound would return.
+  const LatencyMatrix& matrix = pipeline_->latency_monitor().matrix();
+  const uint32_t u = pipeline_->suspicion_monitor().Current().u;
+  if (matrix.version() != round_matrix_version_ ||
+      config_generation_ != round_config_generation_ || u != round_u_) {
+    ComputeAwareRound(config_, scheme(), matrix, u, round_);
+    round_matrix_version_ = matrix.version();
+    round_config_generation_ = config_generation_;
+    round_u_ = u;
+  }
+  return round_;
 }
 
 }  // namespace optilog

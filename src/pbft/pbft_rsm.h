@@ -96,8 +96,8 @@ class PbftReplica : public Actor {
 
   void HandlePrePrepare(ReplicaId from, const PrePrepareMsg& msg, SimTime at);
   void HandlePhase(ReplicaId from, const PhaseMsg& msg, SimTime at);
-  void MaybeAdvance(uint64_t seq);
-  void Commit(uint64_t seq);
+  void MaybeAdvance(uint64_t seq, Instance& inst);
+  void Commit(uint64_t seq, Instance& inst);
 
   const ReplicaId id_;
   PbftHarness* harness_;
@@ -159,6 +159,9 @@ class PbftHarness : public ConsensusEngine, public TimerTarget {
   void OnLogCommit(const LogEntry& entry);
   void OnReconfigure(const RoleConfig& config, double score);
   void MaybeReactToSuspicions();
+  // The sensors' TR1-TR3 timeouts for the active config: recomputed only
+  // when the matrix, the config or u has changed since the last call.
+  const AwareRound& CurrentAwareRound();
 
   Simulator* sim_;
   Network* net_;
@@ -168,7 +171,15 @@ class PbftHarness : public ConsensusEngine, public TimerTarget {
 
   AwareConfigSpace space_;
   RoleConfig config_;
+  uint64_t config_generation_ = 0;  // bumped on every config install
   std::vector<std::unique_ptr<PbftReplica>> replicas_;
+  std::vector<ReplicaId> all_replicas_;  // 0..n-1: every multicast's recipients
+
+  // CurrentAwareRound's cache and the inputs it was computed from.
+  AwareRound round_;
+  uint64_t round_matrix_version_ = ~uint64_t{0};
+  uint64_t round_config_generation_ = ~uint64_t{0};
+  uint32_t round_u_ = 0;
   // The client side and the leader's request queue come from the shared
   // workload layer; only the propose-on-idle trigger below is PBFT's own.
   std::unique_ptr<RequestQueue> queue_;

@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+
 #include "src/aware/aware_score.h"
 #include "src/net/geo.h"
+#include "src/util/rng.h"
 
 namespace optilog {
 namespace {
@@ -175,6 +179,149 @@ TEST(AwareScore, Tr3RoundEqualsLeaderAcceptQuorum) {
   // Accept from any non-leader B to the leader: prepared(B) + L(B, L) = 30.
   EXPECT_DOUBLE_EQ(AwareAcceptTimeoutMs(cfg, s, m, 1, 0, 0), 30.0);
   EXPECT_DOUBLE_EQ(AwareRoundDurationMs(cfg, s, m, 0), 30.0);
+}
+
+// --- The AwareRound kernel against the per-call formulas it replaced ---------
+
+// Verbatim copies of the pre-kernel formulas: one fresh vector per quorum,
+// sorted by value. The kernel must agree bit for bit (EXPECT_EQ on doubles).
+double RefQuorumTime(std::vector<std::pair<double, double>> aw, double quorum,
+                     uint32_t skip) {
+  std::sort(aw.begin(), aw.end());
+  double acc = 0.0;
+  uint32_t skipped = 0;
+  for (const auto& [arrival, weight] : aw) {
+    if (skipped < skip) {
+      ++skipped;
+      continue;
+    }
+    acc += weight;
+    if (acc >= quorum) {
+      return arrival;
+    }
+  }
+  return std::numeric_limits<double>::infinity();
+}
+
+double RefWrite(const RoleConfig& cfg, const LatencyMatrix& m, ReplicaId from,
+                ReplicaId to) {
+  const double propose = from == cfg.leader ? 0.0 : m.Rtt(cfg.leader, from);
+  return propose + (from == to ? 0.0 : m.Rtt(from, to));
+}
+
+double RefAccept(const RoleConfig& cfg, const WeightScheme& s, const LatencyMatrix& m,
+                 ReplicaId from, ReplicaId to, uint32_t u) {
+  std::vector<std::pair<double, double>> aw;
+  for (ReplicaId a = 0; a < s.n; ++a) {
+    aw.emplace_back(RefWrite(cfg, m, a, from), WeightOf(cfg, s, a));
+  }
+  return RefQuorumTime(aw, s.quorum_weight, u) + (from == to ? 0.0 : m.Rtt(from, to));
+}
+
+double RefRound(const RoleConfig& cfg, const WeightScheme& s, const LatencyMatrix& m,
+                uint32_t u) {
+  std::vector<double> propose(s.n), prepared(s.n);
+  for (ReplicaId a = 0; a < s.n; ++a) {
+    propose[a] = a == cfg.leader ? 0.0 : m.Rtt(cfg.leader, a);
+  }
+  for (ReplicaId b = 0; b < s.n; ++b) {
+    std::vector<std::pair<double, double>> aw;
+    for (ReplicaId a = 0; a < s.n; ++a) {
+      aw.emplace_back(a == b ? propose[a] : propose[a] + m.Rtt(a, b),
+                      WeightOf(cfg, s, a));
+    }
+    prepared[b] = RefQuorumTime(aw, s.quorum_weight, u);
+  }
+  std::vector<std::pair<double, double>> accepts;
+  for (ReplicaId b = 0; b < s.n; ++b) {
+    accepts.emplace_back(
+        b == cfg.leader ? prepared[b] : prepared[b] + m.Rtt(b, cfg.leader),
+        WeightOf(cfg, s, b));
+  }
+  return RefQuorumTime(accepts, s.quorum_weight, u);
+}
+
+// Random matrix. `coarse` draws RTTs from {10, 20, 30} ms so many arrivals
+// tie and the Vmax/Vmin weights of tied voters must be summed in one fixed
+// order; some pairs are left unknown or reported unreachable (+inf).
+LatencyMatrix RandomMatrix(uint32_t n, Rng& rng, bool coarse) {
+  LatencyMatrix m(n);
+  for (ReplicaId a = 0; a < n; ++a) {
+    for (ReplicaId b = 0; b < n; ++b) {
+      if (a == b || rng.Bernoulli(0.05)) {
+        continue;
+      }
+      const double rtt = rng.Bernoulli(0.02) ? std::numeric_limits<double>::infinity()
+                         : coarse            ? 10.0 * static_cast<double>(1 + rng.Below(3))
+                                             : rng.Uniform(1.0, 150.0);
+      m.Record(a, b, rtt);
+    }
+  }
+  return m;
+}
+
+TEST(AwareRoundKernel, BitIdenticalToPerCallFormulas) {
+  struct Shape {
+    uint32_t n, f;
+  };
+  // Delta = 0 (uniform weights), and Delta > 0 with fractional Vmax.
+  const Shape shapes[] = {{7, 2}, {13, 4}, {14, 3}, {21, 6}, {23, 5}};
+  Rng rng(2024);
+  AwareRound round;  // reused across every case, as the harness does
+  size_t compared = 0;
+  for (const Shape& shape : shapes) {
+    const AwareConfigSpace space(shape.n, shape.f);
+    const WeightScheme& s = space.scheme();
+    const CandidateSet all = AllCandidates(shape.n);
+    for (int trial = 0; trial < 6; ++trial) {
+      const LatencyMatrix m = RandomMatrix(shape.n, rng, trial % 2 == 0);
+      RoleConfig cfg = space.RandomConfig(all, rng);
+      for (uint32_t u = 0; u <= shape.f; ++u) {
+        cfg = space.Mutate(cfg, all, rng);
+        ComputeAwareRound(cfg, s, m, u, round);
+        const double d_rnd = RefRound(cfg, s, m, u);
+        ASSERT_EQ(round.d_rnd, d_rnd);
+        ASSERT_EQ(AwareRoundDurationMs(cfg, s, m, u), d_rnd);
+        ASSERT_EQ(space.Score(cfg, m, u), d_rnd);
+        for (ReplicaId a = 0; a < shape.n; ++a) {
+          ASSERT_EQ(round.propose[a], AwareProposeTimeoutMs(cfg, m, a));
+          ASSERT_EQ(round.prepared[a], RefAccept(cfg, s, m, a, a, u));
+          for (ReplicaId b = 0; b < shape.n; ++b) {
+            const double accept = RefAccept(cfg, s, m, a, b, u);
+            ASSERT_EQ(AwareAcceptTimeoutMs(cfg, s, m, a, b, u), accept);
+            ASSERT_EQ(AwareWriteTimeoutMs(cfg, m, a, b), RefWrite(cfg, m, a, b));
+            if (a != b) {
+              // The harness's cached forms of TR2.
+              ASSERT_EQ(round.prepared[a] + m.Rtt(a, b), accept);
+              ASSERT_EQ(round.propose[a] + m.Rtt(a, b), RefWrite(cfg, m, a, b));
+            }
+            ++compared;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(compared, 10000u);
+}
+
+TEST(AwareRoundKernel, TiedMixedWeightsSumInPairOrder) {
+  // Vmax = 1 + 2/3 is inexact in binary, so the running weight depends on
+  // the order ties are summed in; WeightedQuorumTime must reach the same
+  // answer from every input order, equal to the reference's.
+  const WeightScheme s = WeightScheme::For(12, 3);  // Delta = 2
+  std::vector<std::pair<double, double>> aw;
+  for (int i = 0; i < 12; ++i) {
+    aw.emplace_back(10.0 * (i % 3), i % 2 == 0 ? s.v_max : s.v_min);
+  }
+  Rng rng(77);
+  for (int perm = 0; perm < 50; ++perm) {
+    rng.Shuffle(aw);
+    for (uint32_t skip = 0; skip <= 3; ++skip) {
+      const double expected = RefQuorumTime(aw, s.quorum_weight, skip);
+      std::vector<std::pair<double, double>> buffer = aw;
+      EXPECT_EQ(WeightedQuorumTime(buffer, s.quorum_weight, skip), expected);
+    }
+  }
 }
 
 TEST(AwareSpace, RandomConfigsValid) {

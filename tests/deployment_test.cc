@@ -251,6 +251,48 @@ TEST(DeploymentBuilder, OptiAwareMatchesHandWiredCounts) {
   EXPECT_EQ(d->pbft().log().head(), wired_head);
 }
 
+// Golden run for the harness's cached TR1-TR3 timeouts. Each of the cache's
+// inputs changes while the other two hold still, and a stale round shifts
+// suspicion decisions:
+//   - matrix: replica 18 crashes at 8 s and the leader turns slow (x6 on
+//     every send, probes included) just before the 10 s probe round, which
+//     records both; with a stale matrix the slow leader's Writes and
+//     proposals are judged against pre-slowdown timeouts;
+//   - config: the scheduled optimization at 5 s and the mitigation after
+//     the Pre-Prepare delay attack at 20 s;
+//   - u: the suspicion monitor's estimate moves as the attack is detected.
+// Dropping any one key from the cache changes the pinned values below,
+// which were captured from the uncached per-message evaluation.
+TEST(DeploymentBuilder, OptiAwareDelayAttackGolden) {
+  PbftOptions opts;
+  opts.mode = PbftMode::kOptiAware;
+  opts.delta = 1.5;
+  opts.optimize_at = 5 * kSec;
+  auto d = Deployment::Builder()
+               .WithGeo(Europe21())
+               .WithProtocol(Protocol::kOptiAware)
+               .WithPbftOptions(opts)
+               .Build();
+  d->faults().Mutable(18).crash_at = 8 * kSec;
+  d->sim().ScheduleAt(9995 * kMsec, [&] {
+    d->faults().Mutable(d->pbft().config().leader).outbound_delay_factor = 6.0;
+  });
+  d->sim().ScheduleAt(20 * kSec, [&] {
+    auto& f = d->faults().Mutable(d->pbft().config().leader);
+    f.proposal_delay = 600 * kMsec;
+    f.fast_probes = true;
+  });
+  d->Start();
+  d->RunUntil(30 * kSec);
+  const MetricsReport m = d->Metrics();
+
+  EXPECT_EQ(m.suspicions, 1137u);
+  EXPECT_EQ(m.reconfig_times, (std::vector<SimTime>{5 * kSec, 20'054'831}));
+  EXPECT_EQ(m.committed, 781u);
+  EXPECT_EQ(m.log_head_hex,
+            "7c8f3c5fb747baec1b1cd33607775f3966ce79410168dab1bd50db7552d43456");
+}
+
 // --- Builder defaults and the ConsensusEngine interface ----------------------
 
 TEST(DeploymentBuilder, DefaultsFillGeoAndFaultBudget) {

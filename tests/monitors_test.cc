@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "src/core/latency_monitor.h"
 #include "src/util/rng.h"
@@ -81,6 +82,91 @@ TEST(LatencyMonitor, InfinityMarksUnreachablePeer) {
   rec2.rtt_units = {EncodeRttMs(5.0), 0};
   mon.OnLatencyVector(rec2);
   EXPECT_TRUE(std::isinf(mon.matrix().Rtt(0, 1)));
+}
+
+TEST(LatencyMatrix, KnownPairsCountsEachPairOnce) {
+  LatencyMatrix m(4);
+  EXPECT_EQ(m.known_pairs(), 0u);
+  m.Record(0, 1, 10.0);
+  m.Record(1, 0, 12.0);  // the other direction of a known pair
+  EXPECT_EQ(m.known_pairs(), 1u);
+  m.Record(0, 1, 11.0);  // a re-report
+  EXPECT_EQ(m.known_pairs(), 1u);
+  m.Record(2, 2, 5.0);  // self-reports are not pairs
+  EXPECT_EQ(m.known_pairs(), 1u);
+  // A crashed peer reports as +inf: measured, so the pair is known.
+  m.Record(2, 3, std::numeric_limits<double>::infinity());
+  EXPECT_EQ(m.known_pairs(), 2u);
+  EXPECT_TRUE(m.Known(3, 2));
+  EXPECT_DOUBLE_EQ(m.Coverage(), 2.0 / 6.0);
+}
+
+TEST(LatencyMatrix, KnownPairsMatchesFullScan) {
+  // The maintained count must equal a recount after any report sequence,
+  // so Coverage() returns the same double the O(n^2) scan did.
+  const uint32_t n = 9;
+  LatencyMatrix m(n);
+  Rng rng(5);
+  for (int i = 0; i < 200; ++i) {
+    const auto a = static_cast<ReplicaId>(rng.Below(n));
+    const auto b = static_cast<ReplicaId>(rng.Below(n));
+    // -1.0 is the matrix's unknown sentinel: such a report withdraws a
+    // direction, and may turn a known pair unknown again.
+    m.Record(a, b, rng.Bernoulli(0.2) ? -1.0 : rng.Uniform(1.0, 50.0));
+    size_t known = 0, total = 0;
+    for (ReplicaId x = 0; x < n; ++x) {
+      for (ReplicaId y = x + 1; y < n; ++y) {
+        ++total;
+        known += m.Known(x, y) ? 1 : 0;
+      }
+    }
+    ASSERT_EQ(m.known_pairs(), known) << "after report " << i;
+    ASSERT_EQ(m.Coverage(),
+              static_cast<double>(known) / static_cast<double>(total));
+  }
+}
+
+TEST(LatencyMatrix, ResetClearsCountAndCityBaselineIsComplete) {
+  LatencyMatrix m(3);
+  m.Record(0, 1, 1.0);
+  m.Record(1, 2, 1.0);
+  EXPECT_EQ(m.known_pairs(), 2u);
+  m.Reset(3);
+  EXPECT_EQ(m.known_pairs(), 0u);
+  EXPECT_DOUBLE_EQ(m.Coverage(), 0.0);
+  // City baseline: replicas 0, 1 in city 0, replica 2 in city 1.
+  m.ResetWithCityBaseline(3, {0, 0, 1}, {0.0, 20.0, 20.0, 0.0}, 2);
+  EXPECT_EQ(m.known_pairs(), 3u);
+  EXPECT_DOUBLE_EQ(m.Coverage(), 1.0);
+  m.Record(0, 2, 25.0);  // a post-baseline override
+  EXPECT_DOUBLE_EQ(m.Coverage(), 1.0);
+  EXPECT_DOUBLE_EQ(m.Rtt(2, 0), 25.0);
+}
+
+TEST(LatencyMatrix, EveryMutationBumpsVersion) {
+  LatencyMatrix m(3);
+  uint64_t v = m.version();
+  auto bumped = [&] {
+    const bool changed = m.version() > v;
+    v = m.version();
+    return changed;
+  };
+  m.Record(0, 1, 10.0);
+  EXPECT_TRUE(bumped());
+  m.Record(0, 1, 10.0);  // same value: still a mutation
+  EXPECT_TRUE(bumped());
+  m.Reset(3);
+  EXPECT_TRUE(bumped());
+  m.ResetWithCityBaseline(3, {0, 0, 1}, {0.0, 20.0, 20.0, 0.0}, 2);
+  EXPECT_TRUE(bumped());
+  m.Record(1, 2, 30.0);  // city-mode override
+  EXPECT_TRUE(bumped());
+  m.Record(7, 1, 30.0);  // out of range: ignored, no mutation
+  EXPECT_FALSE(bumped());
+  const double before = m.Rtt(0, 1);
+  (void)m.Coverage();
+  EXPECT_FALSE(bumped());  // reads never bump
+  EXPECT_DOUBLE_EQ(m.Rtt(0, 1), before);
 }
 
 // --- MisbehaviorMonitor --------------------------------------------------------
